@@ -3,10 +3,9 @@
 import pytest
 
 from repro.circuits import StaticEvaluator, valuation_from_dict
-# _compile_structure_query: this bench ablates the compiler stages
-# themselves, below the repro.api facade seam.
-from repro.core import compile_forest_query
-from repro.core import _compile_structure_query as compile_structure_query
+# The layer compile entry: this bench ablates the compiler stages
+# themselves, below the repro.api facade.
+from repro.core import compile_forest_query, compile_structure_query
 from repro.logic import Atom, Bracket, Sum, Weight, neq, normalize
 from repro.logic.fo import FuncAtom
 from repro.semirings import NATURAL

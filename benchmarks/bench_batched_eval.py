@@ -37,9 +37,9 @@ import pytest
 from repro.api import Database
 from repro.circuits import (HAVE_NUMPY, BatchedEvaluator, StaticEvaluator,
                             optimize_circuit)
-# The internal compile entry: these benches measure the compiler and the
-# evaluator substrates themselves, below the repro.api facade seam.
-from repro.core import _compile_structure_query as compile_structure_query
+# The layer compile entry: these benches measure the compiler and the
+# evaluator substrates themselves, below the repro.api facade.
+from repro.core import compile_structure_query
 from repro.semirings import BOOLEAN, NATURAL
 
 from common import TRIANGLE, report, timed, triangle_workload

@@ -24,9 +24,9 @@ def pagerank_engine(side, damping=0.85):
     E = lambda x, y: Atom("E", (x, y))
     expr = WConst((1 - damping) / n) + WConst(damping) * Sum(
         "y", Bracket(E("y", "x")) * Weight("wl", ("y",)))
-    # _create: this bench measures the Theorem 8 machinery itself, below
-    # the repro.api facade seam (which would add bind/caching overhead).
-    return structure, WeightedQueryEngine._create(structure, expr, FLOAT)
+    # The layer engine: this bench measures the Theorem 8 machinery
+    # itself, below the repro.api facade (which adds bind/caching).
+    return structure, WeightedQueryEngine(structure, expr, FLOAT)
 
 
 @pytest.mark.parametrize("side", [5, 7])

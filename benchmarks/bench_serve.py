@@ -175,17 +175,19 @@ def test_service_throughput_vs_per_query_loop(capsys):
             f"bind().value() loop on the numpy backend (target: 3x)")
 
 
-def test_plan_cache_amortizes_pool_compiles(capsys):
-    """Pool construction compiles once: engines 2..N rebind the cached
-    plan, so a pool of 4 costs about one compilation, not four."""
+def test_plan_cache_amortizes_service_compiles(capsys):
+    """Services compile once per database: four ``db.serve`` services of
+    one query rebind the shared cached plan, so they cost about one
+    compilation, not four."""
     structure, _ = serving_workload(6 if FAST else 10)
 
-    def build_pool():
+    def build_services():
         with Database(structure.copy()) as db:
-            with db.serve(DEGREE, FLOAT, pool_size=4):
-                return db.plan_cache.stats()
+            services = [db.serve(DEGREE, FLOAT) for _ in range(4)]
+            assert all(not service.closed for service in services)
+            return db.plan_cache.stats()
 
-    stats, elapsed = timed(build_pool)
+    stats, elapsed = timed(build_services)
 
     def build_loose():
         # Four independent databases: no shared plan cache, 4 compiles.
@@ -195,9 +197,9 @@ def test_plan_cache_amortizes_pool_compiles(capsys):
 
     _, loose_elapsed = timed(build_loose)
     with capsys.disabled():
-        report("E-S2: pool construction, shared plan vs 4 compiles (seconds)",
+        report("E-S2: 4 services, shared plan vs 4 compiles (seconds)",
                ["path", "time"],
-               [["pool_size=4 (plan cache)", round(elapsed, 4)],
+               [["4 db.serve services (plan cache)", round(elapsed, 4)],
                 ["4 independent databases", round(loose_elapsed, 4)]])
     assert stats["misses"] == 1 and stats["hits"] == 3
 

@@ -300,13 +300,13 @@ def plan_store_probe(store_path: str):
     sys.path.insert(0, HERE)
     try:
         from common import TRIANGLE, timed, triangle_workload
-        from repro.core import _compile_structure_query, plan_cache_key
+        from repro.core import compile_structure_query, plan_cache_key
         from repro.serve import PlanStore
 
         structure = triangle_workload(4)
         key = plan_cache_key(structure, TRIANGLE, frozenset(), True)
         # Always measure a true compile — the store could satisfy it.
-        compiled, cold = timed(_compile_structure_query, structure, TRIANGLE)
+        compiled, cold = timed(compile_structure_query, structure, TRIANGLE)
         shared = PlanStore(store_path)
         warmed = shared.load(key, structure, TRIANGLE) is not None
         if not warmed:

@@ -30,9 +30,7 @@ from .cluster import (ClusterService, Overloaded, ShardingError,
 from .circuits import (HAVE_NUMPY, BatchedEvaluator, LayerSchedule,
                        OptimizeResult, StaticEvaluator, VectorizedEvaluator,
                        build_schedule, optimize_circuit)
-from .core import (CompiledQuery, DynamicQuery, compile_structure_query,
-                   plan_cache_key)
-from .engine import WeightedQueryEngine
+from .core import CompiledQuery, DynamicQuery, plan_cache_key
 from .enumeration import AnswerEnumerator, ProvenanceEnumerator
 from .fog import evaluate_fog
 from .graphs import (grid_graph, path_graph, random_bounded_degree,
@@ -40,7 +38,7 @@ from .graphs import (grid_graph, path_graph, random_bounded_degree,
 from .logic import (Atom, Bracket, Eq, Sum, WConst, Weight, exists, forall,
                     neq)
 from .qe import eliminate_quantifiers
-from .serve import PlanCache, PlanStore, QueryService, ResultCache
+from .serve import PlanCache, PlanStore, ResultCache
 from .semirings import (BOOLEAN, FLOAT, INTEGER, MAX_PLUS, MIN_PLUS, NATURAL,
                         RATIONAL, FreeSemiring, ModularRing, Semiring)
 from .structures import LabeledForest, Signature, Structure, graph_structure
@@ -50,15 +48,14 @@ from ._version import __version__  # noqa: F401 - re-export
 __all__ = [
     "Database", "PreparedQuery", "BoundQuery", "MaintainedQuery",
     "UpdateContext", "ExecOptions", "ResultTable", "Select", "TOTAL",
-    "compile_structure_query", "CompiledQuery", "DynamicQuery",
-    "plan_cache_key",
-    "QueryService", "PlanCache", "PlanStore", "ResultCache",
+    "CompiledQuery", "DynamicQuery", "plan_cache_key",
+    "PlanCache", "PlanStore", "ResultCache",
     "ClusterService", "Overloaded", "ShardingError", "WorkerCrashed",
     "shard_structure",
     "optimize_circuit", "OptimizeResult", "BatchedEvaluator",
     "StaticEvaluator", "VectorizedEvaluator", "LayerSchedule",
     "build_schedule", "HAVE_NUMPY",
-    "WeightedQueryEngine", "AnswerEnumerator", "ProvenanceEnumerator",
+    "AnswerEnumerator", "ProvenanceEnumerator",
     "evaluate_fog", "eliminate_quantifiers",
     "Structure", "graph_structure", "LabeledForest", "Signature",
     "Atom", "Eq", "Sum", "Bracket", "Weight", "WConst", "neq", "exists",

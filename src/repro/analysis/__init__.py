@@ -10,8 +10,9 @@ Three tools, one package:
 * :mod:`repro.analysis.lint` — the project-invariant linter: AST rules
   for the concurrency and serialization disciplines the codebase
   relies on (lock ordering, ``with``-only lock acquisition, epoch
-  bumps on invalidation, the one-warning deprecation seam, and
-  pickle/nondeterminism bans in serialize/cache-key code).
+  bumps on invalidation, pickle/nondeterminism bans in
+  serialize/cache-key code, no blocking calls in cluster coroutines,
+  and no full rehash on the update hot path).
 * the typing gate — ``py.typed`` plus the strict ``mypy``
   configuration in ``pyproject.toml`` (enforced in CI).
 

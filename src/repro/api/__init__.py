@@ -1,8 +1,9 @@
 """repro.api: the unified query facade (PR 4).
 
-One :class:`Database` handle over a structure unifies what previously
-took four entry points (``compile_structure_query``/``CompiledQuery``,
-``DynamicQuery``, ``WeightedQueryEngine``, ``QueryService``)::
+One :class:`Database` handle over a structure is the top-level way in;
+it drives the layer APIs (``repro.core.compile_structure_query``,
+``CompiledQuery.dynamic``, ``repro.engine.WeightedQueryEngine``,
+``repro.serve.QueryService``), which stay the extension surface::
 
     from repro.api import Database
 

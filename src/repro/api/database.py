@@ -64,7 +64,7 @@ class Database:
     then the ``REPRO_PLAN_STORE`` environment variable (a directory
     path — how CI and worker processes opt in without code changes).
 
-    Use as a context manager: ``close()`` releases every engine pool,
+    Use as a context manager: ``close()`` releases every engine,
     service and worker thread the facade created.
     """
 
@@ -163,11 +163,10 @@ class Database:
                                             next(self._ids)))
                   if self.result_cache is not None
                   and opts.result_cache_size else None)
-        service = QueryService._create(
+        service = QueryService(
             self._snapshot(), expr, sr,
             dynamic_relations=tuple(dynamic), free_order=params,
             strategy=opts.strategy, optimize=opts.optimize,
-            pool_size=opts.pool_size,
             max_batch_size=opts.max_batch_size,
             max_batch_delay=opts.max_batch_delay,
             backend=opts.backend,
@@ -340,7 +339,7 @@ class Database:
         content fingerprint no longer matches what the last sanctioned
         write left behind, someone mutated the structure around the
         facade — every prepared artifact is invalidated (lazy rebuild),
-        live services are closed (their engine pools cannot be rebuilt
+        live services are closed (their engines cannot be rebuilt
         in place, and serving the pre-mutation snapshot would be the
         stale-answer bug this check exists to kill), and the epoch
         advances so no cached result survives.  The check is O(1): the

@@ -2,7 +2,7 @@
 
 Before the facade, each entry point grew its own kwargs — ``backend`` /
 ``workers`` on the batched evaluators, ``optimize`` / ``plan_cache`` on
-the compiler, pool/batching/cache knobs on the serving layer — with
+the compiler, batching/cache knobs on the serving layer — with
 validation scattered (or missing) per seam.  :class:`ExecOptions`
 consolidates them into one frozen dataclass validated eagerly at
 construction; a :class:`~repro.api.Database` resolves one instance as
@@ -44,7 +44,7 @@ class ExecOptions:
         Run the circuit-optimizer pass pipeline after compilation.
     ``strategy``
         Dynamic-evaluator strategy for maintained handles.
-    ``pool_size`` / ``max_batch_size`` / ``max_batch_delay``
+    ``max_batch_size`` / ``max_batch_delay``
         Serving knobs forwarded to :meth:`repro.api.Database.serve`.
     ``group_batch_size``
         Chunk grouped-aggregation sweeps (``PreparedQuery.group_by``)
@@ -100,7 +100,6 @@ class ExecOptions:
     workers: Optional[int] = None
     optimize: bool = True
     strategy: Optional[str] = None
-    pool_size: int = 1
     max_batch_size: int = 64
     max_batch_delay: float = 0.002
     group_batch_size: Optional[int] = None
@@ -114,13 +113,22 @@ class ExecOptions:
     request_timeout: Optional[float] = None
     verify: Optional[bool] = None
 
+    def __new__(cls, *args: Any, **kwargs: Any) -> "ExecOptions":
+        # Unknown option names fail loudly, naming the known ones — a
+        # typo'd or retired knob must not be silently ignored.
+        known = {f.name for f in fields(cls)}
+        unknown = sorted(set(kwargs) - known)
+        if unknown:
+            raise TypeError(f"unknown execution option(s): "
+                            f"{', '.join(unknown)}; known options: "
+                            f"{', '.join(sorted(known))}")
+        return super().__new__(cls)
+
     def __post_init__(self) -> None:
         validate_backend(self.backend)
         validate_exact_mode(self.exact_mode)
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be >= 1 (or None for serial)")
-        if self.pool_size < 1:
-            raise ValueError("pool_size must be >= 1")
         if self.max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
         if self.max_batch_delay < 0:
@@ -141,17 +149,8 @@ class ExecOptions:
                 "save(key, plan) (e.g. repro.serve.PlanStore)")
 
     def merged(self, **overrides) -> "ExecOptions":
-        """A copy with ``overrides`` applied (and re-validated).
-
-        Unknown option names fail loudly — a typo'd knob must not be
-        silently ignored.
-        """
+        """A copy with ``overrides`` applied (and re-validated; unknown
+        option names raise :class:`TypeError`)."""
         if not overrides:
             return self
-        known = {f.name for f in fields(self)}
-        unknown = sorted(set(overrides) - known)
-        if unknown:
-            raise TypeError(f"unknown execution option(s): "
-                            f"{', '.join(unknown)}; known options: "
-                            f"{', '.join(sorted(known))}")
         return replace(self, **overrides)

@@ -32,8 +32,7 @@ import threading
 from typing import Any, Callable, Dict, FrozenSet, Hashable, List, \
     Optional, Sequence, Tuple
 
-from .._compat import warn_deprecated
-from ..core import CompiledQuery, _compile_structure_query
+from ..core import CompiledQuery, compile_structure_query
 from ..engine import WeightedQueryEngine
 from ..enumeration import AnswerEnumerator, ProvenanceEnumerator
 from ..logic import Bracket
@@ -156,7 +155,7 @@ class PreparedQuery:
                 f"bind(...).value(sr) for point queries or batch(...) for "
                 f"argument batches")
         if self._plan is None:
-            self._plan = _compile_structure_query(
+            self._plan = compile_structure_query(
                 self.db.structure, self.expr,
                 dynamic_relations=self.dynamic_relations,
                 optimize=self.options.optimize,
@@ -181,7 +180,7 @@ class PreparedQuery:
             with self._engine_lock:
                 engine = self._engines.get(sr.name)
                 if engine is None or engine.closed:
-                    engine = WeightedQueryEngine._create(
+                    engine = WeightedQueryEngine(
                         self.db.structure.copy(), self.expr, sr,
                         dynamic_relations=tuple(self.dynamic_relations),
                         free_order=self.params or None,
@@ -303,16 +302,13 @@ class PreparedQuery:
         the epoch bump of one routed write (fine-grained invalidation).
 
         Called by ``Database.update`` (lock held) after the write landed
-        and the epoch moved.  Three tiers, from cheapest to sharpest:
-
-        * the query never reads the written name — every cached entry of
-          this handle is still exact: retag them all;
-        * a live engine exists — the circuit-level co-occurrence
-          analysis (:meth:`~repro.engine.WeightedQueryEngine.
-          affected_arguments`) proves which argument tuples the write
-          can reach; retag the rest;
-        * the write invalidated this handle (engines gone) — nothing is
-          provable: leave everything stale for lazy eviction.
+        and the epoch moved.  If the query never reads the written name,
+        every cached entry of this handle is still exact and all are
+        carried; otherwise the live engine's
+        :meth:`~repro.engine.WeightedQueryEngine.retag_unaffected`
+        carries the entries it proves unreachable.  A handle the write
+        invalidated (engines gone) proves nothing: its entries stay
+        stale for lazy eviction.
         """
         if self._closed or not self._scopes:
             return
@@ -330,24 +326,14 @@ class PreparedQuery:
             update_keys = (("dynrel", name, tup, True),
                            ("dynrel", name, tup, False))
         for sr_name, scope in self._scopes.items():
-            cached = scope.keys()
-            if not cached:
-                continue
             if not relevant:
-                scope.retag_many(cached, from_epoch, to_epoch)
+                scope.retag_many(scope.keys(), from_epoch, to_epoch)
                 continue
             with self._engine_lock:
                 engine = self._engines.get(sr_name)
-                if engine is None or engine.closed:
-                    continue  # invalidated: leave stale (lazy eviction)
-                affected = engine.affected_arguments(update_keys)
-            if affected is None:
-                continue
-            scope.retag_many(
-                [args for args in cached
-                 if len(args) != len(affected) or not all(
-                     args[i] in affected[i] for i in range(len(args)))],
-                from_epoch, to_epoch)
+            if engine is None or engine.closed:
+                continue  # invalidated: leave stale (lazy eviction)
+            engine.retag_unaffected(scope, update_keys, from_epoch, to_epoch)
 
     # -- execution modes ---------------------------------------------------------
 
@@ -613,8 +599,7 @@ class PreparedQuery:
             self._maintained[sr.name] = handle
         return handle
 
-    def enumerate(self, *deprecated: Any,
-                  dynamic: Optional[Sequence[str]] = None,
+    def enumerate(self, *, dynamic: Optional[Sequence[str]] = None,
                   **overrides: Any) -> Any:
         """A constant-delay enumerator over a snapshot of the database.
 
@@ -626,21 +611,10 @@ class PreparedQuery:
         drive its dynamics through its own update methods.
 
         ``dynamic`` overrides the prepared dynamic-relation set for the
-        snapshot (keyword-only; the old positional spelling is
-        deprecated).  Any further keyword arguments are
+        snapshot.  Any further keyword arguments are
         :class:`~repro.api.ExecOptions` overrides for this call —
         ``optimize``/``verify`` reach the enumerator's compile.
         """
-        if deprecated:
-            # Pre-ExecOptions signature: enumerate(["E"]).  One styled
-            # DeprecationWarning through the shared _compat seam.
-            if len(deprecated) > 1 or dynamic is not None:
-                raise TypeError("enumerate() takes at most the keyword "
-                                "arguments dynamic=... and ExecOptions "
-                                "overrides")
-            warn_deprecated("PreparedQuery.enumerate(dynamic_list)",
-                            "PreparedQuery.enumerate(dynamic=[...])")
-            dynamic = deprecated[0]
         self._check()
         opts = self.options.merged(**overrides)
         snapshot = self.db._snapshot()
@@ -833,8 +807,8 @@ class MaintainedQuery:
     def _handle(self) -> Any:
         if self._dq is None:
             plan = self.prepared._closed_plan()
-            self._dq = plan._dynamic(self.sr,
-                                     strategy=self.prepared.options.strategy)
+            self._dq = plan.dynamic(self.sr,
+                                    strategy=self.prepared.options.strategy)
         return self._dq
 
     def value(self) -> Any:

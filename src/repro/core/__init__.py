@@ -4,8 +4,8 @@ from .forest_compiler import (ForestCompiler, Fragment, chain_info,
                               compile_forest_query, exclusive_assignments,
                               labeled_shapes_for_block, required_comparable,
                               residual_formula, weight_depth_index)
-from .pipeline import (CompiledQuery, DynamicQuery, _compile_structure_query,
-                       compile_structure_query, plan_cache_key)
+from .pipeline import (CompiledQuery, DynamicQuery, compile_structure_query,
+                       plan_cache_key)
 from .shapes import Shape, enumerate_shapes
 from .stages import (DegeneracyEncoding, color_blocks, forest_from_structure,
                      stage_degeneracy, stage_forest)

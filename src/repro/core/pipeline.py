@@ -25,7 +25,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from .._compat import warn_deprecated
 from ..circuits import (HAVE_NUMPY, PLAN_FORMAT_VERSION, ArrayKernel,
                         BatchedEvaluator, Circuit, CircuitBuilder,
                         DynamicEvaluator, LayerSchedule, PlanStateError,
@@ -128,7 +127,7 @@ class CompiledQuery:
                                     repr=False, compare=False)
     #: per-stage compile durations in seconds (normalize, coloring,
     #: forests, forest_compiler, optimize, schedule), recorded by
-    #: ``_compile_structure_query`` and surfaced via stats(); empty for
+    #: ``compile_structure_query`` and surfaced via stats(); empty for
     #: plans loaded from a store (the work was not done here) and shared
     #: across rebinds (the compilation *was* this one).
     _stage_seconds: Dict[str, float] = field(default_factory=dict,
@@ -308,14 +307,7 @@ class CompiledQuery:
 
     def dynamic(self, sr: Semiring, strategy: Optional[str] = None,
                 on_change=None) -> "DynamicQuery":
-        """Deprecated: use :meth:`repro.api.PreparedQuery.maintain`."""
-        warn_deprecated("CompiledQuery.dynamic(...)",
-                        "Database.prepare(expr).maintain(sr)")
-        return self._dynamic(sr, strategy=strategy, on_change=on_change)
-
-    def _dynamic(self, sr: Semiring, strategy: Optional[str] = None,
-                 on_change=None) -> "DynamicQuery":
-        """The Theorem 8/24 maintained handle (internal, warning-free)."""
+        """The Theorem 8/24 maintained handle."""
         return DynamicQuery(self, sr, strategy=strategy, on_change=on_change)
 
     def rebind(self, structure: Structure) -> "CompiledQuery":
@@ -532,30 +524,6 @@ def compile_structure_query(structure: Structure, expr: WExpr,
                             plan_store: Optional[Any] = None,
                             verify: Optional[bool] = None
                             ) -> CompiledQuery:
-    """Deprecated seam: compile ``expr`` over ``structure`` (Theorem 6).
-
-    Use :meth:`repro.api.Database.prepare` instead — the facade owns the
-    plan cache, consolidates the kwargs into :class:`repro.api.ExecOptions`,
-    and keeps every derived cache coherent under updates.  This shim
-    delegates unchanged (one :class:`DeprecationWarning` per call).
-    """
-    warn_deprecated("compile_structure_query(...)",
-                    "Database(structure).prepare(expr)")
-    return _compile_structure_query(structure, expr,
-                                    dynamic_relations=dynamic_relations,
-                                    coloring=coloring, optimize=optimize,
-                                    plan_cache=plan_cache,
-                                    plan_store=plan_store, verify=verify)
-
-
-def _compile_structure_query(structure: Structure, expr: WExpr,
-                             dynamic_relations: Sequence[str] = (),
-                             coloring: Optional[Dict[Hashable, int]] = None,
-                             optimize: bool = True,
-                             plan_cache: Optional[Any] = None,
-                             plan_store: Optional[Any] = None,
-                             verify: Optional[bool] = None
-                             ) -> CompiledQuery:
     """Theorem 6 end-to-end (quantifier-free brackets; see repro.qe for
     eliminating quantifiers first).
 
@@ -605,7 +573,7 @@ def _compile_structure_query(structure: Structure, expr: WExpr,
                     # process must not touch disk again.
                     plan_cache.store(key, loaded.rebind(structure))
                 return loaded
-        compiled = _compile_structure_query(
+        compiled = compile_structure_query(
             structure, expr, dynamic_relations=dynamic_relations,
             optimize=optimize, verify=verify)
         # Store a pristine snapshot: the caller may mutate its plan's

@@ -24,10 +24,9 @@ import hashlib
 import itertools
 from typing import Any, Dict, Hashable, Optional, Sequence, Tuple
 
-from .._compat import warn_deprecated
 from ..circuits import (VectorizedEvaluator, co_occurring_inputs, kernel_for,
                         validate_backend, validate_exact_mode)
-from ..core import CompiledQuery, DynamicQuery, _compile_structure_query
+from ..core import CompiledQuery, DynamicQuery, compile_structure_query
 from ..logic.weighted import Sum, WExpr, WMul, Weight
 from ..semirings import Semiring
 from ..structures import Structure
@@ -64,32 +63,8 @@ class WeightedQueryEngine:
                  strategy: Optional[str] = None,
                  optimize: bool = True,
                  plan_cache: Optional[Any] = None,
-                 plan_store: Optional[Any] = None):
-        # Direct construction is the deprecated seam; the facade and the
-        # serving layer build engines through :meth:`_create`.
-        warn_deprecated("WeightedQueryEngine(...)",
-                        "Database.prepare(expr, params=...).bind(...)")
-        self._init(structure, expr, sr, dynamic_relations=dynamic_relations,
-                   free_order=free_order, strategy=strategy,
-                   optimize=optimize, plan_cache=plan_cache,
-                   plan_store=plan_store)
-
-    @classmethod
-    def _create(cls, structure: Structure, expr: WExpr, sr: Semiring,
-                **kwargs) -> "WeightedQueryEngine":
-        """Internal warning-free constructor (facade / serving layer)."""
-        engine = cls.__new__(cls)
-        engine._init(structure, expr, sr, **kwargs)
-        return engine
-
-    def _init(self, structure: Structure, expr: WExpr, sr: Semiring,
-              dynamic_relations: Sequence[str] = (),
-              free_order: Optional[Sequence[str]] = None,
-              strategy: Optional[str] = None,
-              optimize: bool = True,
-              plan_cache: Optional[Any] = None,
-              plan_store: Optional[Any] = None,
-              verify: Optional[bool] = None):
+                 plan_store: Optional[Any] = None,
+                 verify: Optional[bool] = None):
         self.sr = sr
         self.free: Tuple[str, ...] = tuple(
             free_order if free_order is not None else sorted(expr.free_vars()))
@@ -136,11 +111,11 @@ class WeightedQueryEngine:
         else:
             closed = expr
         try:
-            self.compiled: CompiledQuery = _compile_structure_query(
+            self.compiled: CompiledQuery = compile_structure_query(
                 structure, closed, dynamic_relations=dynamic_relations,
                 optimize=optimize, plan_cache=plan_cache,
                 plan_store=plan_store, verify=verify)
-            self.dynamic: DynamicQuery = self.compiled._dynamic(
+            self.dynamic: DynamicQuery = self.compiled.dynamic(
                 sr, strategy=strategy)
         except BaseException:
             # A failed construction leaves no engine to close(): strip the
@@ -357,6 +332,33 @@ class WeightedQueryEngine:
             self._affected_memo.clear()
         self._affected_memo[memo_key] = tuple(affected)
         return self._affected_memo[memo_key]
+
+    def retag_unaffected(self, scope: Any, update_keys: Sequence[Hashable],
+                         from_epoch: int, to_epoch: int) -> int:
+        """Carry ``scope``'s cached point results from ``from_epoch`` to
+        ``to_epoch`` across a write of ``update_keys``; returns the number
+        of entries carried.
+
+        A key survives only when it is an argument tuple of the query's
+        arity that :meth:`affected_arguments` proves the write cannot
+        reach.  Every other key, and every key when the analysis fails,
+        stays stale — always safe, never wrong.
+        """
+        cached = scope.keys()
+        if not cached:
+            return 0
+        try:
+            affected = self.affected_arguments(update_keys)
+        except Exception:  # noqa: BLE001 - stale-but-correct beats wrong
+            return 0
+        if affected is None:
+            return 0
+        arity = len(affected)
+        return scope.retag_many(
+            [args for args in cached
+             if isinstance(args, tuple) and len(args) == arity
+             and not all(args[i] in affected[i] for i in range(arity))],
+            from_epoch, to_epoch)
 
     # -- updates ----------------------------------------------------------------
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
-from ..core import CompiledQuery, _compile_structure_query
+from ..core import CompiledQuery, compile_structure_query
 from ..logic.fo import Formula, is_quantifier_free
 from ..logic.weighted import Bracket, Sum, WExpr, WMul, Weight
 from ..semirings import NATURAL, Poly
@@ -65,7 +65,7 @@ class ProvenanceEnumerator:
     def __init__(self, structure: Structure, expr: WExpr,
                  dynamic_relations: Sequence[str] = (),
                  optimize: bool = True, verify: Optional[bool] = None):
-        self.compiled = _compile_structure_query(
+        self.compiled = compile_structure_query(
             structure, expr, dynamic_relations=dynamic_relations,
             optimize=optimize, verify=verify)
         self.context = EnumerationContext(self.compiled.circuit,
@@ -143,7 +143,7 @@ class AnswerEnumerator:
             (Bracket(formula),)
             + tuple(Weight(name, (var,))
                     for name, var in zip(weight_names, self.vars))))
-        self.compiled = _compile_structure_query(
+        self.compiled = compile_structure_query(
             structure, expr, dynamic_relations=dynamic_relations,
             optimize=optimize, verify=verify)
         base = {}

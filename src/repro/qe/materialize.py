@@ -108,13 +108,13 @@ def existential_sentence_value(structure: Structure, bound, matrix: Formula
     """Model-check an existential sentence ``∃x̄ φ`` (φ quantifier-free)
     through the circuit pipeline: summation in the boolean semiring *is*
     existential quantification (paper §8) — no elimination required."""
-    from ..core import _compile_structure_query
+    from ..core import compile_structure_query
     if not is_quantifier_free(matrix):
         raise ValueError("matrix must be quantifier-free")
     if isinstance(bound, str):
         bound = (bound,)
     if set(matrix.free_vars()) - set(bound):
         raise ValueError("existential_sentence_value needs a sentence")
-    compiled = _compile_structure_query(structure,
-                                        Sum(tuple(bound), Bracket(matrix)))
+    compiled = compile_structure_query(structure,
+                                       Sum(tuple(bound), Bracket(matrix)))
     return compiled.evaluate(BOOLEAN)

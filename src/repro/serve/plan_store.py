@@ -60,7 +60,7 @@ class PlanStore:
     share one directory (writes are atomic, loads tolerate races).
 
     Satisfies the ``plan_store`` protocol of
-    :func:`repro.core._compile_structure_query` (``load``/``save``).
+    :func:`repro.core.compile_structure_query` (``load``/``save``).
     """
 
     def __init__(self, path: Any, max_entries: int = 256,

@@ -13,23 +13,21 @@ naive per-query ``engine.query`` loop spends its time.
 Three layers compose here:
 
 * **micro-batching** — a FIFO request queue drained by one dispatcher
-  thread per pool engine; identical argument tuples inside a batch are
-  deduplicated before evaluation;
-* **plan caching** — pool engines are constructed over content-equal
-  snapshots of the host structure through one :class:`PlanCache`, so the
-  Theorem 6 compilation is paid once for the whole pool (and reused by
-  later services over equal content);
+  thread; identical argument tuples inside a batch are deduplicated
+  before evaluation;
+* **plan caching** — the engine compiles through one :class:`PlanCache`,
+  so later services over equal content reuse the Theorem 6 compilation;
 * **result caching** — an epoch-tagged :class:`ResultCache` keyed by
   argument tuple, invalidated precisely by the touched-gate reporting of
   ``update_weight``/``set_relation``: only an update that actually
   recomputes gates advances the epoch.
 
 Updates go through the service (:meth:`update_weight` /
-:meth:`set_relation`), which applies them to every pool engine under a
-lock; batches already in flight may see either state — the usual serving
+:meth:`set_relation`), which applies them to the engine under a lock;
+batches already in flight may see either state — the usual serving
 semantics.  Use the service as a context manager: ``close()`` drains the
-accepted requests, stops the dispatchers, and closes every engine, which
-strips all selector weights from the host structure.
+accepted requests, stops the dispatcher, and closes the engine, which
+strips its selector weights from the host structure.
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ from concurrent.futures import Future
 from typing import Any, Callable, Dict, Hashable, List, Optional, \
     Sequence, Tuple
 
-from .._compat import warn_deprecated
 from ..circuits import DEFAULT_MAX_GROUPS, validate_backend, \
     validate_exact_mode
 from ..engine import WeightedQueryEngine
@@ -55,9 +52,9 @@ from .result_cache import MISS, ResultCache
 class QueryService:
     """Serve concurrent point queries of one compiled weighted query.
 
-    ``pool_size`` engines (each with its own dispatcher thread) drain a
-    shared request queue; ``max_batch_size``/``max_batch_delay`` bound
-    each micro-batch's size and coalescing latency; ``backend`` is
+    One dispatcher thread drains the request queue into micro-batches
+    for the service's one engine; ``max_batch_size``/``max_batch_delay``
+    bound each micro-batch's size and coalescing latency; ``backend`` is
     forwarded to ``evaluate_batch`` (``"auto"`` picks the vectorized
     NumPy backend when the semiring has an array kernel).
 
@@ -66,36 +63,22 @@ class QueryService:
     ``result_cache_size=0`` to disable result caching.
     """
 
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        # Direct construction is the deprecated seam; the facade builds
-        # services through :meth:`_create` (see Database.serve).
-        warn_deprecated("QueryService(...)", "Database.serve(expr, ...)")
-        self._init(*args, **kwargs)
-
-    @classmethod
-    def _create(cls, *args, **kwargs) -> "QueryService":
-        """Internal warning-free constructor (facade)."""
-        service = cls.__new__(cls)
-        service._init(*args, **kwargs)
-        return service
-
-    def _init(self, structure: Structure, expr: WExpr, sr: Semiring,
-              dynamic_relations: Sequence[str] = (),
-              free_order: Optional[Sequence[str]] = None,
-              strategy: Optional[str] = None,
-              optimize: bool = True,
-              pool_size: int = 1,
-              max_batch_size: int = 64,
-              max_batch_delay: float = 0.002,
-              backend: str = "auto",
-              exact_mode: str = "auto",
-              plan_cache: Optional[PlanCache] = None,
-              plan_store: Optional[Any] = None,
-              result_cache_size: int = 1024,
-              result_cache: Optional[Any] = None,
-              workers: Optional[int] = None,
-              executor: Optional[Any] = None,
-              verify: Optional[bool] = None):
+    def __init__(self, structure: Structure, expr: WExpr, sr: Semiring,
+                 dynamic_relations: Sequence[str] = (),
+                 free_order: Optional[Sequence[str]] = None,
+                 strategy: Optional[str] = None,
+                 optimize: bool = True,
+                 max_batch_size: int = 64,
+                 max_batch_delay: float = 0.002,
+                 backend: str = "auto",
+                 exact_mode: str = "auto",
+                 plan_cache: Optional[PlanCache] = None,
+                 plan_store: Optional[Any] = None,
+                 result_cache_size: int = 1024,
+                 result_cache: Optional[Any] = None,
+                 workers: Optional[int] = None,
+                 executor: Optional[Any] = None,
+                 verify: Optional[bool] = None):
         validate_backend(backend)
         validate_exact_mode(exact_mode)
         # The service folds partial aggregates in arrival order (batch
@@ -103,8 +86,6 @@ class QueryService:
         # ⊕ commutative/associative is refused here, eagerly, rather
         # than merged in an order the query never specified.
         ensure_mergeable(sr, "QueryService micro-batch merge")
-        if pool_size < 1:
-            raise ValueError("pool_size must be >= 1")
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
         self.sr = sr
@@ -113,9 +94,8 @@ class QueryService:
         self.max_batch_size = int(max_batch_size)
         self.max_batch_delay = float(max_batch_delay)
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
-        # The optional persistent tier under the in-memory cache: pool
-        # engine 1 loads from disk on a cold process; engines 2..N then
-        # hit the (seeded) memory cache.
+        # The optional persistent tier under the in-memory cache: a cold
+        # process loads the plan from disk instead of compiling.
         self.plan_store = plan_store
         # An explicit ``result_cache`` instance (e.g. a scoped view of a
         # Database-owned shared cache) wins over the size knob.
@@ -126,24 +106,12 @@ class QueryService:
                                  if result_cache_size else None)
         self._workers = workers
         self._executor = executor
-        # Snapshot the host structure for engines 2..N *before* engine 1
-        # installs its selector weights: all snapshots then share the
-        # host's content fingerprint, so every pool engine resolves to
-        # the same cached plan (one compilation for the whole pool).
-        snapshots = [structure.copy() for _ in range(pool_size - 1)]
-        self.engines: List[WeightedQueryEngine] = []
-        try:
-            for member in [structure] + snapshots:
-                self.engines.append(WeightedQueryEngine._create(
-                    member, expr, sr, dynamic_relations=dynamic_relations,
-                    free_order=free_order, strategy=strategy,
-                    optimize=optimize, plan_cache=self.plan_cache,
-                    plan_store=plan_store, verify=verify))
-        except BaseException:
-            for engine in self.engines:
-                engine.close()
-            raise
-        self.free: Tuple[str, ...] = self.engines[0].free
+        self.engine = WeightedQueryEngine(
+            structure, expr, sr, dynamic_relations=dynamic_relations,
+            free_order=free_order, strategy=strategy, optimize=optimize,
+            plan_cache=self.plan_cache, plan_store=plan_store,
+            verify=verify)
+        self.free: Tuple[str, ...] = self.engine.free
         self._domain = frozenset(structure.domain)
         self._domain_order = tuple(structure.domain)
         self._epoch = 0
@@ -163,13 +131,10 @@ class QueryService:
         self._group_tables = 0
         self._group_rows = 0
         self._retagged = 0
-        self._dispatchers = [
-            threading.Thread(target=self._dispatch_loop, args=(engine,),
-                             name=f"QueryService-dispatch-{index}",
-                             daemon=True)
-            for index, engine in enumerate(self.engines)]
-        for thread in self._dispatchers:
-            thread.start()
+        self._dispatcher = threading.Thread(
+            target=self._dispatch_loop, name="QueryService-dispatch",
+            daemon=True)
+        self._dispatcher.start()
 
     # -- queries ---------------------------------------------------------------
 
@@ -291,7 +256,7 @@ class QueryService:
 
     # -- micro-batch dispatch ----------------------------------------------------
 
-    def _dispatch_loop(self, engine: WeightedQueryEngine) -> None:
+    def _dispatch_loop(self) -> None:
         while True:
             with self._intake:
                 while not self._buffer and not self._closed:
@@ -307,9 +272,9 @@ class QueryService:
                 batch = self._buffer[:self.max_batch_size]
                 del self._buffer[:self.max_batch_size]
             if batch:
-                self._serve_batch(engine, batch)
+                self._serve_batch(batch)
 
-    def _serve_batch(self, engine: WeightedQueryEngine, batch: List) -> None:
+    def _serve_batch(self, batch: List) -> None:
         # Concurrent clients often ask for the same hot keys: evaluate
         # each distinct argument tuple once per batch.
         groups: Dict[Tuple, List] = {}
@@ -317,7 +282,7 @@ class QueryService:
             groups.setdefault(arguments, []).append((future, epoch))
         unique = list(groups)
         try:
-            results = engine.query_batch(unique, backend=self.backend,
+            results = self.engine.query_batch(unique, backend=self.backend,
                                          workers=self._workers,
                                          executor=self._executor,
                                          exact_mode=self.exact_mode)
@@ -350,7 +315,7 @@ class QueryService:
         model).  Used by ``Database.update`` to pre-validate a
         transaction before mutating anything."""
         return tuple(tup) in \
-            self.engines[0].compiled.structure.weights.get(name, {})
+            self.engine.compiled.structure.weights.get(name, {})
 
     def can_absorb_relation(self, name: str, tup: Tuple = ()) -> bool:
         """Whether :meth:`set_relation` can maintain a toggle of
@@ -358,10 +323,10 @@ class QueryService:
         and the tuple is a clique of the compile-time Gaifman graph
         (the Theorem 24 update model, via
         :meth:`~repro.core.CompiledQuery.can_mark`)."""
-        return self.engines[0].compiled.can_mark(name, tup)
+        return self.engine.compiled.can_mark(name, tup)
 
     def update_weight(self, name: str, tup: Tuple, value: Any) -> int:
-        """Set ``name(tup) = value`` on every pool engine; returns gates
+        """Set ``name(tup) = value`` on the engine; returns gates
         touched.  An effective update (touched > 0) advances the epoch,
         lazily invalidating all cached results; a no-op write keeps the
         result cache warm."""
@@ -369,27 +334,20 @@ class QueryService:
         tup = tuple(tup)
         with self._update_lock:
             prev_epoch = self._epoch
-            touched = 0
-            for engine in self.engines:
-                touched = max(touched,
-                              engine.update_weight(name, tup, value))
+            touched = self.engine.update_weight(name, tup, value)
             if touched:
                 self._epoch += 1
                 self._retag_unaffected((("w", name, tup),), prev_epoch)
             return touched
 
     def set_relation(self, name: str, tup: Tuple, present: bool) -> int:
-        """Gaifman-preserving relation toggle on every pool engine (the
-        Theorem 24 update model); epoch semantics as in
-        :meth:`update_weight`."""
+        """Gaifman-preserving relation toggle on the engine (the Theorem
+        24 update model); epoch semantics as in :meth:`update_weight`."""
         self._check_open()
         tup = tuple(tup)
         with self._update_lock:
             prev_epoch = self._epoch
-            touched = 0
-            for engine in self.engines:
-                touched = max(touched,
-                              engine.set_relation(name, tup, present))
+            touched = self.engine.set_relation(name, tup, present)
             if touched:
                 self._epoch += 1
                 self._retag_unaffected(
@@ -400,28 +358,14 @@ class QueryService:
     def _retag_unaffected(self, update_keys: Tuple, from_epoch: int) -> None:
         """Fine-grained invalidation (``_update_lock`` held): the epoch
         bump staled every cached result; carry forward the argument
-        tuples the write provably cannot reach (the circuit-level
-        co-occurrence analysis of :meth:`~repro.engine.
-        WeightedQueryEngine.affected_arguments`).  Any analysis failure
-        leaves entries stale — always safe, never wrong."""
+        tuples the write provably cannot reach (see
+        :meth:`~repro.engine.WeightedQueryEngine.retag_unaffected`)."""
         if self.result_cache is None:
             return
-        try:
-            affected = self.engines[0].affected_arguments(update_keys)
-            if affected is None:
-                return
-            to_epoch = self._epoch
-            survivors = [
-                args for args in self.result_cache.keys()
-                if isinstance(args, tuple) and len(args) == len(affected)
-                and not all(args[i] in affected[i]
-                            for i in range(len(args)))]
-            carried = self.result_cache.retag_many(
-                survivors, from_epoch, to_epoch)
-            with self._stats_lock:
-                self._retagged += carried
-        except Exception:  # noqa: BLE001 - stale-but-correct beats wrong
-            return
+        carried = self.engine.retag_unaffected(
+            self.result_cache, update_keys, from_epoch, self._epoch)
+        with self._stats_lock:
+            self._retagged += carried
 
     # -- lifecycle --------------------------------------------------------------
 
@@ -439,23 +383,21 @@ class QueryService:
         return self._epoch
 
     def close(self) -> None:
-        """Drain in-flight requests, stop the dispatchers, close engines.
+        """Drain in-flight requests, stop the dispatcher, close the engine.
 
-        Requests already accepted are served before the dispatchers exit;
-        new submissions raise.  Closing the engines strips all selector
-        weights from the host structure (and the pool snapshots), so a
-        long-lived structure served by many successive services never
-        accumulates weight functions.  Idempotent."""
+        Requests already accepted are served before the dispatcher exits;
+        new submissions raise.  Closing the engine strips its selector
+        weights from the host structure, so a long-lived structure served
+        by many successive services never accumulates weight functions.
+        Idempotent."""
         with self._intake:
             already = self._closed
             self._closed = True
             self._intake.notify_all()
         if already:
             return
-        for thread in self._dispatchers:
-            thread.join()
-        for engine in self.engines:
-            engine.close()
+        self._dispatcher.join()
+        self.engine.close()
         if self.result_cache is not None:
             # A closed service can never serve these again; a scoped
             # view of a shared cache must not keep occupying its LRU.
@@ -490,12 +432,11 @@ class QueryService:
             self.result_cache.stats()["hits"]
             if self.result_cache is not None else 0)
         info["epoch"] = self._epoch
-        info["pool_size"] = len(self.engines)
         info["backend"] = self.backend
         info["exact_mode"] = self.exact_mode
         # Which vectorized kernel actually served the batches (and how
         # many guard trips fell back to the exact object kernel).
-        kernel = self.engines[0].stats().get("exact_kernel")
+        kernel = self.engine.stats().get("exact_kernel")
         if kernel is not None:
             info["exact_kernel"] = kernel
         info["plan_cache"] = self.plan_cache.stats()
@@ -506,5 +447,5 @@ class QueryService:
         return info
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"<QueryService free={self.free} pool={len(self.engines)} "
+        return (f"<QueryService free={self.free} "
                 f"batch<={self.max_batch_size} epoch={self._epoch}>")

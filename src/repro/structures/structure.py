@@ -268,7 +268,7 @@ class Structure:
     def copy(self) -> "Structure":
         # Bypass the constructor: the clone's content is identical by
         # construction, so the digest carries over verbatim and the copy
-        # costs no hashing at all (engine pools and cluster shards
+        # costs no hashing at all (engines, services and cluster shards
         # snapshot unchanged structures constantly).
         clone = Structure.__new__(Structure)
         clone.domain = list(self.domain)

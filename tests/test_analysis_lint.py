@@ -27,7 +27,6 @@ FIXTURE_OF = {
     "REP001": ("bad/locks_rep001.py", "good/locks.py"),
     "REP002": ("bad/locks_rep002.py", "good/locks.py"),
     "REP003": ("bad/api/prepared_rep003.py", "good/api/prepared.py"),
-    "REP004": ("bad/shim_rep004.py", "good/shim.py"),
     "REP005": ("bad/plan_store.py", "good/serialize.py"),
     "REP006": ("bad/cluster/gateway_rep006.py", "good/cluster/gateway.py"),
     "REP007": ("bad/api/database_rep007.py", "good/api/database.py"),
@@ -98,10 +97,6 @@ def test_lint_source_path_scoping():
         source = handle.read()
     assert lint_source(source, "pkg/result_cache.py")
     assert lint_source(source, "pkg/misc_helpers.py") == []
-    # REP004's sanctioned seam is exempt from itself.
-    with open(os.path.join(FIXTURES, "bad", "shim_rep004.py")) as handle:
-        source = handle.read()
-    assert lint_source(source, "src/repro/_compat.py") == []
     # REP007 applies only in the update-routing layers: the structures
     # package itself (where full_fingerprint/rehash live) is exempt.
     with open(os.path.join(FIXTURES, "bad", "api",

@@ -51,11 +51,34 @@ class TestExecOptions:
             ExecOptions(backend="cuda")
 
     def test_all_knob_bounds(self):
-        for bad in (dict(workers=0), dict(pool_size=0),
+        for bad in (dict(workers=0),
                     dict(max_batch_size=0), dict(max_batch_delay=-1.0),
                     dict(plan_cache_size=0), dict(result_cache_size=-1)):
             with pytest.raises(ValueError):
                 ExecOptions(**bad)
+
+    def test_retired_pool_size_is_an_unknown_option(self):
+        # One engine per service: the pool knob is gone, and naming it
+        # fails loudly at every spelling, listing the known options.
+        with pytest.raises(TypeError, match="known options: backend"):
+            ExecOptions(pool_size=2)
+        with Database(build(3)) as db:
+            with pytest.raises(TypeError, match="known options: backend"):
+                db.serve(DEGREE, NATURAL, pool_size=2)
+            assert db.stats()["services"] == 0
+
+    def test_layer_entry_points_left_the_top_level(self):
+        # Database is the one top-level way in; the layer modules keep
+        # their entry points.
+        import repro
+        for name in ("compile_structure_query", "WeightedQueryEngine",
+                     "QueryService"):
+            with pytest.raises(ImportError):
+                exec(f"from repro import {name}", {})
+            assert name not in repro.__all__
+        from repro.core import compile_structure_query  # noqa: F401
+        from repro.engine import WeightedQueryEngine  # noqa: F401
+        from repro.serve import QueryService  # noqa: F401
 
     def test_merged_revalidates_and_rejects_unknown(self):
         options = ExecOptions()
@@ -625,7 +648,7 @@ class TestLifecycle:
         db.close()  # idempotent
 
     def test_out_of_band_mutation_closes_services(self):
-        """A live service pool cannot be rebuilt in place: when a write
+        """A live service cannot be rebuilt in place: when a write
         bypasses the facade, the service is closed rather than left
         serving the pre-mutation snapshot."""
         structure = build(3)

@@ -42,7 +42,6 @@ from repro.logic import Atom, Bracket, Sum, WConst, Weight, forall
 from repro.semirings import (BOOLEAN, NATURAL, Semiring, ensure_mergeable,
                              register_semiring, resolve_semiring,
                              SEMIRING_REGISTRY, FreeSemiring)
-from repro.serve import QueryService
 from repro.structures import Structure
 
 from tests.test_plan_store import SEMIRING_CASES
@@ -636,13 +635,11 @@ class TestMergeableContract:
 
     def test_query_service_refuses_unmergeable_semirings(self):
         structure = two_component_structure(str)
-        with pytest.raises(ValueError, match="is_mergeable"):
-            QueryService(structure, DEGREE, _NoncommutativeSemiring())
+        with Database(structure) as db:
+            with pytest.raises(ValueError, match="is_mergeable"):
+                db.serve(DEGREE, _NoncommutativeSemiring())
 
     def test_boolean_still_accepted_everywhere(self):
         structure = two_component_structure(lambda v: v > 0)
-        service = QueryService(structure, DEGREE, BOOLEAN)
-        try:
+        with Database(structure) as db, db.serve(DEGREE, BOOLEAN) as service:
             assert service.query(structure.domain[0]) in (True, False)
-        finally:
-            service.close()

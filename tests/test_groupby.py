@@ -12,9 +12,9 @@ Five families:
   only the touched groups (weights and dynamic relations);
 * the serving/sugar seams — ``QueryService.group_by`` and
   ``db.select(...).group_by(...).having(...).run(sr)``;
-* satellites — ExecOptions group knobs, the ``enumerate`` keyword
-  migration (one DeprecationWarning on the old positional spelling,
-  none on the new), and per-stage compile timings in stats/explain.
+* satellites — ExecOptions group knobs, the keyword-only ``enumerate``
+  signature (the old positional spelling is a TypeError), and
+  per-stage compile timings in stats/explain.
 """
 
 from __future__ import annotations
@@ -353,7 +353,7 @@ def test_exec_options_group_knobs_validated_eagerly():
         ExecOptions().merged(group_size=8)  # typo'd knob fails loudly
 
 
-# -- satellite: enumerate keyword migration ---------------------------------------
+# -- satellite: keyword-only enumerate --------------------------------------------
 
 
 def enum_db():
@@ -364,17 +364,12 @@ def enum_db():
     return db, db.prepare(E("x", "y") & Atom("S", ("x",)), dynamic=("S",))
 
 
-def test_enumerate_positional_dynamic_is_deprecated():
+def test_enumerate_positional_dynamic_raises_type_error():
     db, q = enum_db()
     try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            answers = sorted(q.enumerate(["S"]))
-        assert answers == [(0, 1), (1, 2)]
-        deprecations = [entry for entry in caught
-                        if issubclass(entry.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "enumerate" in str(deprecations[0].message)
+        with pytest.raises(TypeError):
+            q.enumerate(["S"])
+        assert sorted(q.enumerate(dynamic=["S"])) == [(0, 1), (1, 2)]
     finally:
         db.close()
 

@@ -1,26 +1,26 @@
-"""Migration equivalence: old entry points vs the repro.api facade.
+"""Layer/facade equivalence: the layer APIs vs the repro.api facade.
 
-For every shipped semiring, the historical call sites
-(``compile_structure_query`` + ``WeightedQueryEngine`` +
-``QueryService``) and the new ``Database``/``PreparedQuery`` paths must
-return identical results; and each deprecated seam must emit exactly
-one ``DeprecationWarning`` per use (the shims delegate, the facade's
-internal paths stay silent).
+For every shipped semiring, the layer entry points
+(``repro.core.compile_structure_query`` + ``CompiledQuery.dynamic``,
+``repro.engine.WeightedQueryEngine``, ``repro.serve.QueryService``) and
+the ``Database``/``PreparedQuery`` paths built on them must return
+identical results.
 """
 
 from __future__ import annotations
 
-import warnings
 from fractions import Fraction
 
 import pytest
 
-from repro import (CompiledQuery, Database, QueryService,
-                   WeightedQueryEngine, compile_structure_query)
+from repro import Database
+from repro.core import compile_structure_query
+from repro.engine import WeightedQueryEngine
 from repro.graphs import triangulated_grid
 from repro.logic import Atom, Bracket, Sum, Weight
 from repro.semirings import (BOOLEAN, FLOAT, INTEGER, MAX_PLUS, MIN_PLUS,
                              NATURAL, RATIONAL, ModularRing)
+from repro.serve import QueryService
 
 from tests.util import weighted_graph_structure
 
@@ -54,13 +54,6 @@ def build(conv, side=3, seed=5):
                                     seed=seed, conv=conv, wmax=6)
 
 
-def silently(fn, *args, **kwargs):
-    """Run an old-API call site with its deprecation warning muted."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return fn(*args, **kwargs)
-
-
 class TestResultEquivalence:
     @shipped_params()
     def test_closed_value_and_batch(self, sr, conv):
@@ -68,8 +61,7 @@ class TestResultEquivalence:
         edges = sorted(structure.relations["E"])[:3]
         scenarios = [{}] + [{("w", "w", edge): sr.zero} for edge in edges]
 
-        old_compiled = silently(compile_structure_query, structure.copy(),
-                                EDGE_SUM)
+        old_compiled = compile_structure_query(structure.copy(), EDGE_SUM)
         old_value = old_compiled.evaluate(sr)
         old_batch = old_compiled.evaluate_batch(sr, scenarios)
 
@@ -84,8 +76,7 @@ class TestResultEquivalence:
         structure = build(conv)
         probes = structure.domain[::3]
 
-        with silently(WeightedQueryEngine, structure.copy(), DEGREE,
-                      sr) as engine:
+        with WeightedQueryEngine(structure.copy(), DEGREE, sr) as engine:
             old_points = [engine.query(v) for v in probes]
             old_batch = engine.query_batch([(v,) for v in probes])
 
@@ -103,9 +94,8 @@ class TestResultEquivalence:
         edge = sorted(structure.relations["E"])[0]
         new_value = conv(6)
 
-        old_compiled = silently(compile_structure_query, structure.copy(),
-                                EDGE_SUM)
-        old_dynamic = silently(old_compiled.dynamic, sr)
+        old_compiled = compile_structure_query(structure.copy(), EDGE_SUM)
+        old_dynamic = old_compiled.dynamic(sr)
         old_dynamic.update_weight("w", edge, new_value)
         old_after = old_dynamic.value()
 
@@ -119,63 +109,10 @@ class TestResultEquivalence:
         structure = build(conv)
         probes = structure.domain[:4]
 
-        with silently(QueryService, structure.copy(), DEGREE,
-                      sr) as old_service:
+        with QueryService(structure.copy(), DEGREE, sr) as old_service:
             old_results = old_service.query_batch([(v,) for v in probes])
 
         with Database(structure.copy()) as db:
             with db.serve(DEGREE, sr) as service:
                 for probe, theirs in zip(probes, old_results):
                     assert sr.eq(service.query(probe), theirs)
-
-
-class TestDeprecationShims:
-    def assert_exactly_one(self, record):
-        deprecations = [item for item in record
-                        if issubclass(item.category, DeprecationWarning)]
-        assert len(deprecations) == 1, (
-            f"expected exactly one DeprecationWarning, got "
-            f"{[str(item.message) for item in deprecations]}")
-        return str(deprecations[0].message)
-
-    def test_compile_structure_query_warns_once(self, small_grid_structure):
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            compile_structure_query(small_grid_structure, EDGE_SUM)
-        message = self.assert_exactly_one(record)
-        assert "Database" in message and "prepare" in message
-
-    def test_compiled_dynamic_warns_once(self, small_grid_structure):
-        compiled = silently(compile_structure_query, small_grid_structure,
-                            EDGE_SUM)
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            compiled.dynamic(NATURAL)
-        assert "maintain" in self.assert_exactly_one(record)
-
-    def test_engine_warns_once(self, small_grid_structure):
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            engine = WeightedQueryEngine(small_grid_structure, DEGREE,
-                                         NATURAL)
-        engine.close()
-        assert "bind" in self.assert_exactly_one(record)
-
-    def test_service_warns_once(self, small_grid_structure):
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            service = QueryService(small_grid_structure, DEGREE, NATURAL)
-        service.close()
-        assert "serve" in self.assert_exactly_one(record)
-
-    def test_shims_still_are_the_real_classes(self, small_grid_structure):
-        """The shims delegate without wrapping: isinstance and behavior
-        are unchanged for code that keeps using the old seams."""
-        compiled = silently(compile_structure_query, small_grid_structure,
-                            EDGE_SUM)
-        assert isinstance(compiled, CompiledQuery)
-        with silently(WeightedQueryEngine, small_grid_structure, DEGREE,
-                      NATURAL) as engine:
-            assert isinstance(engine, WeightedQueryEngine)
-            assert engine.query(small_grid_structure.domain[0]) == \
-                engine.query_batch([(small_grid_structure.domain[0],)])[0]

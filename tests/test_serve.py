@@ -1,11 +1,11 @@
 """The serving layer: micro-batching, plan/result caches, lifecycle.
 
-Covers the QueryService contract (concurrent correctness, coalescing,
-epoch-precise result-cache invalidation), the compile-plan cache
-(structure fingerprints, rebind isolation, selector-name determinism
-with collision fallback), and the engine-pool lifecycle under
-concurrency — no selector-weight leaks in the host structure after
-close, even with many client threads in flight.
+Covers the served-query contract of ``Database.serve`` (concurrent
+correctness, coalescing, epoch-precise result-cache invalidation), the
+compile-plan cache (structure fingerprints, rebind isolation,
+selector-name determinism with collision fallback), and the service
+lifecycle under concurrency — no selector-weight leaks in the served
+structure after close, even with many client threads in flight.
 """
 
 from __future__ import annotations
@@ -16,11 +16,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro import Database
 from repro.core import compile_structure_query, plan_cache_key
 from repro.engine import SELECTOR_PREFIX, WeightedQueryEngine
 from repro.logic import Atom, Bracket, Sum, Weight
 from repro.semirings import MIN_PLUS, NATURAL
-from repro.serve import MISS, PlanCache, QueryService, ResultCache
+from repro.serve import MISS, PlanCache, ResultCache
 from repro.structures import Structure
 
 from tests.util import weighted_graph_structure
@@ -245,15 +246,21 @@ class TestResultCache:
 def grid_service():
     structure = weighted_graph_structure(triangulated_grid(4, 4), seed=9)
     expected = reference_values(structure)
-    service = QueryService(structure, DEGREE, NATURAL, max_batch_size=16,
+    with Database(structure) as db:
+        service = db.serve(DEGREE, NATURAL, max_batch_size=16,
                            max_batch_delay=0.002)
-    yield structure, expected, service
-    service.close()
+        yield db, expected, service
+
+
+def served_structure(service):
+    """The snapshot the service's engine installed its selectors on."""
+    return service.engine.structure
 
 
 class TestQueryService:
     def test_concurrent_clients_get_engine_answers(self, grid_service):
-        structure, expected, service = grid_service
+        db, expected, service = grid_service
+        structure = db.structure
         errors = []
 
         def client(tid):
@@ -280,7 +287,8 @@ class TestQueryService:
         assert stats["batches"] < stats["queries"]
 
     def test_query_batch_and_dict_arguments(self, grid_service):
-        structure, expected, service = grid_service
+        db, expected, service = grid_service
+        structure = db.structure
         probes = structure.domain[:6]
         assert service.query_batch([(v,) for v in probes]) \
             == [expected[v] for v in probes]
@@ -288,12 +296,14 @@ class TestQueryService:
         assert service.query({"x": probe}) == expected[probe]
 
     def test_update_invalidates_results(self, grid_service):
-        structure, expected, service = grid_service
+        db, expected, service = grid_service
+        structure = db.structure
         edge = sorted(structure.relations["E"])[0]
         source = edge[0]
         before = service.query(source)
         assert before == expected[source]
-        touched = service.update_weight("w", edge, 77)
+        with db.update() as tx:
+            touched = tx.set_weight("w", edge, 77)
         assert touched > 0
         assert service.epoch == 1
         after = service.query(source)
@@ -303,18 +313,21 @@ class TestQueryService:
         assert after == fresh[source]
 
     def test_noop_update_keeps_cache_warm(self, grid_service):
-        structure, expected, service = grid_service
+        db, expected, service = grid_service
+        structure = db.structure
         edge = sorted(structure.relations["E"])[0]
         value = structure.weights["w"][edge]
         service.query(edge[0])
         hits_before = service.result_cache.stats()["hits"]
-        assert service.update_weight("w", edge, value) == 0
+        with db.update() as tx:
+            assert tx.set_weight("w", edge, value) == 0
         assert service.epoch == 0
         service.query(edge[0])
         assert service.result_cache.stats()["hits"] == hits_before + 1
 
     def test_repeated_probe_hits_result_cache(self, grid_service):
-        structure, expected, service = grid_service
+        db, expected, service = grid_service
+        structure = db.structure
         probe = structure.domain[5]
         first = service.query(probe)
         hits_before = service.result_cache.stats()["hits"]
@@ -323,7 +336,8 @@ class TestQueryService:
         assert service.result_cache.stats()["hits"] >= hits_before + 5
 
     def test_bad_arguments_fail_only_their_caller(self, grid_service):
-        structure, expected, service = grid_service
+        db, expected, service = grid_service
+        structure = db.structure
         with pytest.raises(KeyError):
             service.query("no-such-element")
         with pytest.raises(ValueError):
@@ -331,26 +345,11 @@ class TestQueryService:
         probe = structure.domain[0]
         assert service.query(probe) == expected[probe]
 
-    def test_pool_updates_apply_to_every_engine(self):
-        structure = weighted_graph_structure(triangulated_grid(4, 4), seed=10)
-        edge = sorted(structure.relations["E"])[0]
-        with QueryService(structure, DEGREE, NATURAL, pool_size=3,
-                          max_batch_size=4, max_batch_delay=0.001,
-                          result_cache_size=0) as service:
-            assert service.engines[1].compiled.circuit \
-                is service.engines[0].compiled.circuit
-            service.update_weight("w", edge, 99)
-            fresh = reference_values(structure)
-            # Hammer enough probes that every pool engine serves some.
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                values = list(pool.map(
-                    service.query, [edge[0]] * 24))
-            assert set(values) == {fresh[edge[0]]}
-
     def test_min_plus_service_uses_tropical_zero(self):
         structure = weighted_graph_structure(triangulated_grid(3, 3), seed=11)
         expected = reference_values(structure, sr=MIN_PLUS)
-        with QueryService(structure, DEGREE, MIN_PLUS) as service:
+        with Database(structure) as db, \
+                db.serve(DEGREE, MIN_PLUS) as service:
             for probe in structure.domain[:5]:
                 assert service.query(probe) == expected[probe]
 
@@ -363,19 +362,24 @@ class TestServiceLifecycle:
         structure = weighted_graph_structure(triangulated_grid(4, 4), seed=12)
         weight_names = set(structure.weights)
         expected = reference_values(structure)
-        service = QueryService(structure, DEGREE, NATURAL, pool_size=2,
-                               max_batch_size=8, max_batch_delay=0.001)
-        assert selector_names(structure)  # engine 1 lives on the host
+        with Database(structure) as db:
+            service = db.serve(DEGREE, NATURAL, max_batch_size=8,
+                               max_batch_delay=0.001)
+            served = served_structure(service)
+            assert selector_names(served)  # the engine lives on it
 
-        def client(tid):
-            rng = random.Random(tid)
-            return [service.query(rng.choice(structure.domain))
-                    for _ in range(25)]
+            def client(tid):
+                rng = random.Random(tid)
+                return [(probe, service.query(probe)) for probe in
+                        (rng.choice(structure.domain) for _ in range(25))]
 
-        with ThreadPoolExecutor(max_workers=16) as pool:
-            list(pool.map(client, range(16)))
-        service.close()
-        assert selector_names(structure) == set()
+            with ThreadPoolExecutor(max_workers=16) as pool:
+                answers = [pair for chunk in pool.map(client, range(16))
+                           for pair in chunk]
+            service.close()
+        assert all(value == expected[probe] for probe, value in answers)
+        assert selector_names(served) == set()
+        assert set(served.weights) == weight_names
         assert set(structure.weights) == weight_names
         assert service.closed
 
@@ -384,11 +388,12 @@ class TestServiceLifecycle:
         cache = PlanCache()
         baseline = len(structure.weights)
         values = []
-        for _ in range(5):
-            with QueryService(structure, DEGREE, NATURAL,
-                              plan_cache=cache) as service:
-                values.append(service.query(structure.domain[0]))
-            assert len(structure.weights) == baseline
+        with Database(structure, plan_cache=cache) as db:
+            for _ in range(5):
+                with db.serve(DEGREE, NATURAL) as service:
+                    values.append(service.query(structure.domain[0]))
+                assert len(served_structure(service).weights) == baseline
+                assert len(structure.weights) == baseline
         assert len(set(values)) == 1
         # Compilation happened once; every later service hit the cache.
         assert cache.stats()["misses"] == 1
@@ -396,7 +401,7 @@ class TestServiceLifecycle:
 
     def test_close_is_idempotent_and_blocks_use(self):
         structure = weighted_graph_structure(path_graph(6), seed=14)
-        service = QueryService(structure, DEGREE, NATURAL)
+        service = Database(structure).serve(DEGREE, NATURAL)
         probe = structure.domain[0]
         service.query(probe)  # lands in the result cache
         service.close()
@@ -416,8 +421,9 @@ class TestServiceLifecycle:
         # closed error — never hang, never return a partial table.
         structure = weighted_graph_structure(triangulated_grid(3, 3),
                                              seed=21)
-        service = QueryService(structure, DEGREE, NATURAL,
-                               max_batch_size=4, max_batch_delay=0.001)
+        service = Database(structure).serve(DEGREE, NATURAL,
+                                            max_batch_size=4,
+                                            max_batch_delay=0.001)
         expected = list(service.group_by())
         started = threading.Barrier(5, timeout=10)
         outcomes = []
@@ -441,12 +447,13 @@ class TestServiceLifecycle:
         for kind, table in outcomes:
             if kind == "table":  # drained before close: the full table
                 assert table == expected
-        assert selector_names(structure) == set()
+        assert selector_names(served_structure(service)) == set()
 
     def test_close_during_concurrent_queries_never_hangs(self):
         structure = weighted_graph_structure(triangulated_grid(3, 3), seed=15)
-        service = QueryService(structure, DEGREE, NATURAL,
-                               max_batch_size=4, max_batch_delay=0.001)
+        service = Database(structure).serve(DEGREE, NATURAL,
+                                            max_batch_size=4,
+                                            max_batch_delay=0.001)
         stop = threading.Event()
         outcomes = []
 
@@ -469,4 +476,4 @@ class TestServiceLifecycle:
         for thread in threads:
             thread.join(timeout=10)
         assert all(not thread.is_alive() for thread in threads)
-        assert selector_names(structure) == set()
+        assert selector_names(served_structure(service)) == set()

@@ -13,7 +13,10 @@ Four guarantees, each load-bearing for the streaming-write story:
   mutation into a loud :class:`FingerprintMismatch` instead of silent
   stale answers, and ``rehash()`` is the sanctioned resync;
 * after an effective routed write, cached point results the write
-  provably cannot affect stay warm — across all 13 shipped semirings.
+  provably cannot affect stay warm — across all 13 shipped semirings —
+  through the one retag rule both prepared handles and services use,
+  and a failed analysis leaves entries stale instead of failing the
+  write.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.api import Database
+from repro.baselines import StructureModel, eval_expression
+from repro.engine import WeightedQueryEngine
 from repro.logic import Atom, Bracket, Sum, Weight
 from repro.semirings import NATURAL
 from repro.serve import ResultCache
@@ -263,3 +268,69 @@ class TestWarmEntrySurvival:
             for element in structure.domain:
                 assert (query.bind(element).value(sr)
                         == reference.bind(element).value(sr))
+
+
+def _raise_analysis(self, update_keys):
+    raise RuntimeError("injected co-occurrence analysis failure")
+
+
+class TestOneRetagRule:
+    def test_only_proven_arity_tuples_are_carried(self):
+        structure = weighted_structure(lambda v: v)
+        edge = sorted(structure.relations["E"])[0]
+        with WeightedQueryEngine(structure.copy(), DEGREE,
+                                 NATURAL) as engine:
+            affected = engine.affected_arguments((("w", "w", edge),))
+            outside = next(element for element in structure.domain
+                           if element not in affected[0])
+            inside = next(iter(affected[0]))
+            scope = ResultCache(maxsize=16).scoped("q")
+            for key in [(outside,), (inside,), (outside, outside),
+                        outside]:
+                scope.put(key, 1, epoch=0)
+            carried = engine.retag_unaffected(
+                scope, (("w", "w", edge),), 0, 1)
+        # Only the proven survivor moves; the reachable point, the
+        # wrong-length tuple and the bare element all stay stale.
+        assert carried == 1
+        assert scope.get((outside,), 1) == 1
+        for key in [(inside,), (outside, outside), outside]:
+            assert scope.get(key, 1) is ResultCache.MISS
+
+    def test_failed_analysis_leaves_prepared_points_stale(self,
+                                                          monkeypatch):
+        structure = weighted_structure(lambda v: v)
+        edge = sorted(structure.relations["E"])[0]
+        with Database(structure.copy()) as db:
+            query = db.prepare(DEGREE, params=("x",))
+            for element in structure.domain:  # warm every point
+                query.bind(element).value(NATURAL)
+            monkeypatch.setattr(WeightedQueryEngine, "affected_arguments",
+                                _raise_analysis)
+            with db.update() as tx:  # the write itself must not fail
+                assert tx.set_weight("w", edge, 9) > 0
+            scope = query._scope(NATURAL)
+            model = StructureModel(db.structure, NATURAL.zero)
+            for element in structure.domain:
+                before = scope.misses
+                value = query.bind(element).value(NATURAL)
+                assert scope.misses == before + 1  # stale, recomputed
+                assert value == eval_expression(DEGREE, model, NATURAL,
+                                                {"x": element})
+
+    def test_failed_analysis_leaves_served_points_stale(self, monkeypatch):
+        structure = weighted_structure(lambda v: v)
+        edge = sorted(structure.relations["E"])[0]
+        with Database(structure.copy()) as db:
+            service = db.serve(DEGREE, NATURAL)
+            service.query_batch([(element,) for element in
+                                 structure.domain])
+            monkeypatch.setattr(WeightedQueryEngine, "affected_arguments",
+                                _raise_analysis)
+            with db.update() as tx:
+                assert tx.set_weight("w", edge, 9) > 0
+            assert service.stats()["retagged"] == 0
+            model = StructureModel(db.structure, NATURAL.zero)
+            for element in structure.domain:
+                assert service.query(element) == eval_expression(
+                    DEGREE, model, NATURAL, {"x": element})
