@@ -80,6 +80,11 @@ class LayerSchedule:
         self.input_gates = input_gates
         #: live constant gates as ``(gate_id, raw value)`` pairs.
         self.const_gates = const_gates
+        # Static-topology indexes, built on first use and kept: the
+        # schedule is immutable, so they never go stale.
+        self._input_cones: Optional[Dict[GateId, int]] = None
+        self._parents: Optional[Dict[GateId, Tuple[GateId, ...]]] = None
+        self._input_slots: Optional[Dict[Hashable, int]] = None
 
     def __len__(self) -> int:
         return len(self.layers)
@@ -142,7 +147,7 @@ def input_cone_masks(schedule: LayerSchedule) -> Dict[GateId, int]:
     topological gate-id order (children precede parents), the property
     every evaluator already assumes.
     """
-    masks = getattr(schedule, "_input_cones", None)
+    masks = schedule._input_cones
     if masks is None:
         slot_of = {gate_id: slot for slot, (gate_id, _)
                    in enumerate(schedule.input_gates)}
@@ -160,6 +165,28 @@ def input_cone_masks(schedule: LayerSchedule) -> Dict[GateId, int]:
     return masks
 
 
+def gate_parents(schedule: LayerSchedule) -> Dict[GateId, Tuple[GateId, ...]]:
+    """Per-gate tuple of the live gates that read it, in gate-id order.
+
+    The upward counterpart of :func:`input_cone_masks`: following
+    parents from an input gate visits exactly its upward cone, the gates
+    whose value can change when that input is written.  The output gate
+    has no parents.  Memoized on the schedule.
+    """
+    parents = schedule._parents
+    if parents is None:
+        circuit = schedule.circuit
+        live = circuit.live_gates()
+        readers: Dict[GateId, List[GateId]] = {gate_id: [] for gate_id in live}
+        for gate_id in live:
+            for child in dict.fromkeys(
+                    circuit.children_of(circuit.gates[gate_id])):
+                readers[child].append(gate_id)
+        parents = {gate_id: tuple(ids) for gate_id, ids in readers.items()}
+        schedule._parents = parents
+    return parents
+
+
 def co_occurring_inputs(schedule: LayerSchedule, key: Hashable) -> frozenset:
     """The input keys that share a product monomial with input ``key``.
 
@@ -173,52 +200,54 @@ def co_occurring_inputs(schedule: LayerSchedule, key: Hashable) -> frozenset:
     whose selector inputs co-occur with it).  An unknown/dead ``key``
     returns the empty set (the circuit provably never reads it).
 
-    Memoized per key on the schedule: serving workloads retag their
-    caches on every routed update, usually over a small hot set of keys.
+    Only the MUL/PERM gates of ``key``'s upward cone (see
+    :func:`gate_parents`) can hold ``key`` in an operand, so the walk
+    visits that cone and nothing else: its cost follows the cone, not
+    the circuit.  The per-gate cones and parents are memoized on the
+    schedule; the walk itself is not.
     """
-    memo = getattr(schedule, "_co_occur_memo", None)
-    if memo is None:
-        memo = schedule._co_occur_memo = {}
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    slot_of = {k: slot for slot, (_, k) in enumerate(schedule.input_gates)}
-    slot = slot_of.get(key)
+    slots = schedule._input_slots
+    if slots is None:
+        slots = schedule._input_slots = {
+            k: slot for slot, (_, k) in enumerate(schedule.input_gates)}
+    slot = slots.get(key)
     if slot is None:
-        memo[key] = frozenset()
-        return memo[key]
+        return frozenset()
     masks = input_cone_masks(schedule)
-    circuit = schedule.circuit
+    parents = gate_parents(schedule)
+    inputs = schedule.input_gates
+    gates = schedule.circuit.gates
+    children_of = schedule.circuit.children_of
     bit = 1 << slot
     met = 0
-    for layer in schedule.layers:
-        for group in layer.groups:
-            if group.kind not in (KIND_MUL, KIND_PERM):
+    seen = {inputs[slot][0]}
+    stack = [inputs[slot][0]]
+    while stack:
+        for parent in parents[stack.pop()]:
+            if parent in seen:
                 continue
-            for gate_id in group.gate_ids:
-                children = circuit.children_of(circuit.gates[gate_id])
-                child_masks = [masks[child] for child in children]
-                if not any(mask & bit for mask in child_masks):
-                    continue
-                for index, mask in enumerate(child_masks):
-                    if mask & bit:
-                        # Operands other than the one holding ``key``
-                        # multiply against it in some monomial.  (A
-                        # permanent gate's sum-of-products pairs every
-                        # operand with operands of the other rows, which
-                        # the all-pairs treatment overapproximates.)
-                        for j, other in enumerate(child_masks):
-                            if j != index:
-                                met |= other
+            seen.add(parent)
+            stack.append(parent)
+            gate = gates[parent]
+            if not isinstance(gate, (MulGate, PermGate)):
+                continue
+            child_masks = [masks[child] for child in children_of(gate)]
+            for index, mask in enumerate(child_masks):
+                if mask & bit:
+                    # Operands other than the one holding ``key``
+                    # multiply against it in some monomial.  (A
+                    # permanent gate's sum-of-products pairs every
+                    # operand with operands of the other rows, which
+                    # the all-pairs treatment overapproximates.)
+                    for j, other in enumerate(child_masks):
+                        if j != index:
+                            met |= other
     keys = []
-    inputs = schedule.input_gates
     while met:
         low = (met & -met).bit_length() - 1
         keys.append(inputs[low][1])
         met &= met - 1
-    result = frozenset(keys) - {key}
-    memo[key] = result
-    return result
+    return frozenset(keys) - {key}
 
 
 def _kind_key(gate: Any) -> Tuple[str, Optional[int]]:

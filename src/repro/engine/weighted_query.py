@@ -73,7 +73,6 @@ class WeightedQueryEngine:
                              f"expression's free variables")
         self.structure = structure
         self._closed = False
-        self._affected_memo: Dict[Tuple, Optional[Tuple]] = {}
         if plan_cache is not None or plan_store is not None:
             # Cacheable construction needs *deterministic* selector names:
             # both plan tiers key on the structure's content fingerprint
@@ -306,20 +305,14 @@ class WeightedQueryEngine:
         cache invalidation: after a routed update, cached results whose
         arguments fail the test are provably still correct.
 
-        The analysis reads only static circuit topology (the schedule's
-        per-gate input cones), never gate values, so it is memoized per
-        ``update_keys`` — a write stream that revisits tuples (live edge
-        weights) pays the cone walk once per distinct write target.
+        The analysis reads only static circuit topology, never gate
+        values, and walks only each written input's upward cone, so one
+        call costs the size of those cones, not of the circuit.
         """
         if not self.free:
             return None
-        memo_key = tuple(update_keys)
-        try:
-            return self._affected_memo[memo_key]
-        except KeyError:
-            pass
         schedule = self.compiled.schedule()
-        met = set()
+        met: set = set()
         for key in update_keys:
             met |= co_occurring_inputs(schedule, key)
         affected = []
@@ -328,10 +321,7 @@ class WeightedQueryEngine:
                 key[2][0] for key in met
                 if isinstance(key, tuple) and len(key) == 3
                 and key[0] == "w" and key[1] == name))
-        if len(self._affected_memo) >= 8192:  # bound a long write stream
-            self._affected_memo.clear()
-        self._affected_memo[memo_key] = tuple(affected)
-        return self._affected_memo[memo_key]
+        return tuple(affected)
 
     def retag_unaffected(self, scope: Any, update_keys: Sequence[Hashable],
                          from_epoch: int, to_epoch: int) -> int:
@@ -354,11 +344,21 @@ class WeightedQueryEngine:
         if affected is None:
             return 0
         arity = len(affected)
-        return scope.retag_many(
-            [args for args in cached
-             if isinstance(args, tuple) and len(args) == arity
-             and not all(args[i] in affected[i] for i in range(arity))],
-            from_epoch, to_epoch)
+        if arity == 1:
+            reach = affected[0]
+            survivors = [args for args in cached
+                         if isinstance(args, tuple) and len(args) == 1
+                         and args[0] not in reach]
+        else:
+            survivors = []
+            for args in cached:
+                if not isinstance(args, tuple) or len(args) != arity:
+                    continue
+                for value, reach in zip(args, affected):
+                    if value not in reach:
+                        survivors.append(args)
+                        break
+        return scope.retag_many(survivors, from_epoch, to_epoch)
 
     # -- updates ----------------------------------------------------------------
 

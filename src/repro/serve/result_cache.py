@@ -24,7 +24,12 @@ MISS = object()
 
 
 class ResultCache:
-    """Bounded, thread-safe LRU of ``(epoch, value)`` entries."""
+    """Bounded, thread-safe LRU of ``(epoch, value)`` entries.
+
+    Keys of the form ``(namespace, key)`` — what :meth:`scoped` views
+    store — are also indexed by namespace, so one scope's keys are
+    listed and cleared without walking the other scopes' entries.
+    """
 
     MISS = MISS
 
@@ -33,6 +38,8 @@ class ResultCache:
             raise ValueError("maxsize must be >= 1")
         self.maxsize = maxsize
         self._entries: "OrderedDict[Hashable, Tuple[int, Any]]" = OrderedDict()
+        # namespace -> its inner keys (as dict keys: insertion-ordered).
+        self._scopes: Dict[Hashable, Dict[Hashable, None]] = {}
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -52,6 +59,7 @@ class ResultCache:
                 return MISS
             if entry[0] != epoch:
                 del self._entries[key]
+                self._unindex(key)
                 self.stale += 1
                 self.misses += 1
                 return MISS
@@ -61,14 +69,28 @@ class ResultCache:
 
     def put(self, key: Hashable, value: Any, epoch: int) -> None:
         with self._lock:
+            if key not in self._entries and isinstance(key, tuple) \
+                    and len(key) == 2:
+                self._scopes.setdefault(key[0], {})[key[1]] = None
             self._entries[key] = (epoch, value)
             self._entries.move_to_end(key)
             while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
+                self._unindex(self._entries.popitem(last=False)[0])
+
+    def _unindex(self, key: Hashable) -> None:
+        """Drop a removed entry's key from the namespace index (lock
+        held)."""
+        if isinstance(key, tuple) and len(key) == 2:
+            inner = self._scopes.get(key[0])
+            if inner is not None:
+                inner.pop(key[1], None)
+                if not inner:
+                    del self._scopes[key[0]]
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._scopes.clear()
 
     def keys(self) -> list:
         """A snapshot of the cached keys (any epoch, LRU order)."""
@@ -134,19 +156,17 @@ class ResultCache:
     def clear_scope(self, namespace: Hashable) -> int:
         """Drop every entry of one scope; returns how many were dropped."""
         with self._lock:
-            doomed = [key for key in self._entries
-                      if isinstance(key, tuple) and key
-                      and key[0] == namespace]
-            for key in doomed:
-                del self._entries[key]
-            return len(doomed)
+            inner = self._scopes.pop(namespace, {})
+            for key in inner:
+                del self._entries[(namespace, key)]
+            return len(inner)
 
     def scope_keys(self, namespace: Hashable) -> list:
-        """The inner keys cached under one scope (any epoch)."""
+        """The inner keys cached under one scope (any epoch), in first
+        insertion order — read from the namespace index, so the cost
+        follows the scope's size, not the whole cache's."""
         with self._lock:
-            return [key[1] for key in self._entries
-                    if isinstance(key, tuple) and len(key) == 2
-                    and key[0] == namespace]
+            return list(self._scopes.get(namespace, ()))
 
 
 class ScopedResultCache:

@@ -52,6 +52,32 @@ def _entry_digest(tag: bytes, payload: str) -> int:
         "big")
 
 
+def _value_text(value: Any) -> str:
+    """``repr(value)`` with set members in sorted order, recursively.
+
+    A set's ``repr`` follows its iteration order, which for strings and
+    other hash-randomized members changes with ``PYTHONHASHSEED``; a
+    digest over it would key the same content differently in two
+    processes.  Values that hold no set (every non-set carrier) render
+    exactly as ``repr``, so their digests are unchanged."""
+    if isinstance(value, (set, frozenset)):
+        if not value:
+            return repr(value)
+        body = "{" + ", ".join(sorted(map(_value_text, value))) + "}"
+        return body if type(value) is set \
+            else f"{type(value).__name__}({body})"
+    if type(value) is tuple:
+        if len(value) == 1:
+            return f"({_value_text(value[0])},)"
+        return "(" + ", ".join(map(_value_text, value)) + ")"
+    return repr(value)
+
+
+def _weight_digest(weight: str, tup: Tup, value: Any) -> int:
+    """The per-entry hash of one weight assignment."""
+    return _entry_digest(b"\x02", repr((weight, tup, _value_text(value))))
+
+
 def _verify_fingerprint_enabled() -> bool:
     return os.environ.get(VERIFY_FINGERPRINT_ENV, "") not in ("", "0")
 
@@ -126,11 +152,11 @@ class Structure:
         tup = self._check_arity(weight, tup)
         mapping = self.weights.setdefault(weight, {})
         old = mapping.get(tup, _ABSENT)
-        new_hash = _entry_digest(b"\x02", repr((weight, tup, repr(value))))
+        new_hash = _weight_digest(weight, tup, value)
         if old is _ABSENT:
             delta = new_hash
         else:
-            old_hash = _entry_digest(b"\x02", repr((weight, tup, repr(old))))
+            old_hash = _weight_digest(weight, tup, old)
             if old_hash == new_hash:
                 mapping[tup] = value
                 return  # same rendered value: content unchanged, no-op
@@ -146,8 +172,7 @@ class Structure:
             return
         if tup is None:
             for entry, value in self.weights[weight].items():
-                self._fold(_entry_digest(
-                    b"\x02", repr((weight, entry, repr(value)))))
+                self._fold(_weight_digest(weight, entry, value))
             del self.weights[weight]
             if weight not in self.relations:
                 self._arity.pop(weight, None)
@@ -155,8 +180,7 @@ class Structure:
             tup = tuple(tup)
             if tup in self.weights[weight]:
                 value = self.weights[weight].pop(tup)
-                self._fold(_entry_digest(
-                    b"\x02", repr((weight, tup, repr(value)))))
+                self._fold(_weight_digest(weight, tup, value))
 
     # -- queries ---------------------------------------------------------------
 
@@ -179,10 +203,11 @@ class Structure:
 
     def fingerprint(self) -> str:
         """A content hash of the structure: domain, relations, and weights
-        (weight values via ``repr``, which every shipped carrier renders
-        deterministically).  Two structures with equal fingerprints are
-        interchangeable inputs to ``compile_structure_query``, which is
-        what the compile-plan cache keys on.
+        (weight values via ``repr``, with set members sorted so that
+        set-valued carriers render the same under every hash seed).  Two
+        structures with equal fingerprints are interchangeable inputs to
+        ``compile_structure_query``, which is what the compile-plan cache
+        keys on.
 
         Maintained *incrementally* by the mutator methods (an
         order-independent XOR fold of per-entry hashes), so this is O(1)
@@ -217,7 +242,7 @@ class Structure:
                 digest ^= _entry_digest(b"\x01", repr((name, tup)))
         for name, mapping in self.weights.items():
             for tup, value in mapping.items():
-                digest ^= _entry_digest(b"\x02", repr((name, tup, repr(value))))
+                digest ^= _weight_digest(name, tup, value)
         return f"{digest:0{2 * _DIGEST_BYTES}x}"
 
     def rehash(self) -> str:

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 import threading
 from fractions import Fraction
 
@@ -426,3 +428,60 @@ def test_served_engines_share_the_store(tmp_path, monkeypatch):
         service = db.serve(deg, NATURAL, params=("x",))
         assert service.query(element) == first
         assert db.stats()["plan_store"]["hits"] >= 1
+
+
+#: Builds a set-valued structure, prints its fingerprint, then queries it
+#: through a Database on the store path given as argv[1].
+_SET_ALGEBRA_RUN = """
+import json, sys
+from repro.api import Database
+from repro.graphs import triangulated_grid
+from repro.logic import Atom, Bracket, Sum, Weight
+from repro.semirings import SetAlgebra
+from repro.structures import graph_structure
+
+structure = graph_structure(triangulated_grid(3, 3))
+for index, edge in enumerate(sorted(structure.relations["E"])):
+    structure.set_weight("w", edge, frozenset("abcdef"[index % 4:]))
+query = Sum(("x", "y"), Bracket(Atom("E", ("x", "y")))
+            * Weight("w", ("x", "y")))
+fingerprint = structure.fingerprint()
+with Database(structure, plan_store_path=sys.argv[1]) as db:
+    value = db.prepare(query).value(SetAlgebra(frozenset("abcdef")))
+    store = db.stats()["plan_store"]
+print(json.dumps({"fingerprint": fingerprint, "value": sorted(value),
+                  "hits": store["hits"], "misses": store["misses"]}))
+"""
+
+
+def test_set_valued_fingerprints_ignore_the_hash_seed(tmp_path):
+    """A set's ``repr`` follows ``PYTHONHASHSEED``; the fingerprint must
+    not, or a store written by one process misses in the next."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    runs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.path.join(root, "src") \
+            + os.pathsep + env.get("PYTHONPATH", "")
+        env.pop("REPRO_PLAN_STORE", None)
+        done = subprocess.run(
+            [sys.executable, "-c", _SET_ALGEBRA_RUN, str(tmp_path)],
+            capture_output=True, text=True, env=env)
+        assert done.returncode == 0, done.stdout + done.stderr
+        runs.append(json.loads(done.stdout.strip().splitlines()[-1]))
+    first, second = runs
+    assert first["fingerprint"] == second["fingerprint"]
+    assert first["value"] == second["value"]
+    assert first["misses"] == 1 and first["hits"] == 0
+    assert second["hits"] == 1 and second["misses"] == 0
+
+
+def test_set_valued_digest_is_canonical_and_others_unchanged():
+    from repro.structures.structure import _value_text
+    assert _value_text(frozenset("cab")) == "frozenset({'a', 'b', 'c'})"
+    assert _value_text({3, 1}) == "{1, 3}"
+    assert _value_text((frozenset({2, 1}), True)) \
+        == "(frozenset({1, 2}), True)"
+    for value in [3, -1.5, INF, Fraction(2, 3), "s", (1, False), (4,), (),
+                  frozenset(), set(), None]:
+        assert _value_text(value) == repr(value)

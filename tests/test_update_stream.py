@@ -334,3 +334,96 @@ class TestOneRetagRule:
             for element in structure.domain:
                 assert service.query(element) == eval_expression(
                     DEGREE, model, NATURAL, {"x": element})
+
+
+#: f(x, y) = Σ_z [E(x, z) ∧ E(z, y)] * w(x, z) * w(z, y) — weighted
+#: two-step paths, a two-parameter point query.
+TWO_STEP = Sum("z", Bracket(E("x", "z") & E("z", "y"))
+               * w("x", "z") * w("z", "y"))
+
+
+def assert_scope_index_exact(cache: ResultCache) -> None:
+    """The namespace index lists exactly the cache's scoped entries."""
+    indexed = {(namespace, key) for namespace, keys in cache._scopes.items()
+               for key in keys}
+    assert all(cache._scopes.values()), "empty namespace left behind"
+    assert indexed == {key for key in cache._entries
+                       if isinstance(key, tuple) and len(key) == 2}
+
+
+class TestScopedRetag:
+    def test_retag_carries_only_the_writers_scope(self):
+        structure = weighted_structure(lambda v: v)
+        edge = sorted(structure.relations["E"])[0]
+        write = (("w", "w", edge),)
+        cache = ResultCache(maxsize=64)
+        mine, other = cache.scoped("A"), cache.scoped("B")
+        points = [(element,) for element in structure.domain]
+        for point in points:
+            mine.put(point, 1, epoch=0)
+            other.put(point, 2, epoch=0)
+        assert sorted(mine.keys()) == sorted(points)
+        with WeightedQueryEngine(structure.copy(), DEGREE,
+                                 NATURAL) as engine:
+            reach = engine.affected_arguments(write)[0]
+            carried = engine.retag_unaffected(mine, write, 0, 1)
+        survivors = [point for point in points if point[0] not in reach]
+        assert survivors and len(survivors) < len(points)
+        assert carried == len(survivors)
+        for point in points:
+            expected = 1 if point in survivors else ResultCache.MISS
+            assert mine.get(point, 1) == expected
+            assert other.get(point, 0) == 2  # B untouched by A's retag
+        assert sorted(other.keys()) == sorted(points)
+        assert not set(mine.keys()) - set(points)
+        assert_scope_index_exact(cache)
+
+    def test_evictions_leave_no_ghost_keys(self):
+        cache = ResultCache(maxsize=4)
+        a, b = cache.scoped("A"), cache.scoped("B")
+        for index in range(3):
+            a.put((index,), index, epoch=0)
+        b.put((0,), 0, epoch=0)
+        a.put((3,), 3, epoch=0)  # LRU pop of A's (0,)
+        assert sorted(a.keys()) == [(1,), (2,), (3,)]
+        assert_scope_index_exact(cache)
+        assert a.get((1,), 5) is ResultCache.MISS  # stale-evict
+        assert sorted(a.keys()) == [(2,), (3,)]
+        assert_scope_index_exact(cache)
+        a.put((2,), 22, epoch=1)  # overwrite: still one index entry
+        assert sorted(a.keys()) == [(2,), (3,)]
+        assert cache.clear_scope("A") == 2
+        assert a.keys() == [] and b.keys() == [(0,)]
+        assert_scope_index_exact(cache)
+        b.put((1,), 1, epoch=0)
+        for index in range(4):  # B's own entries fall off the LRU
+            a.put((index,), index, epoch=0)
+        assert b.keys() == []
+        assert_scope_index_exact(cache)
+        cache.clear()
+        assert a.keys() == [] and cache._scopes == {}
+
+    def test_two_parameter_points_stay_exact_across_writes(self):
+        structure = weighted_structure(lambda v: v, side=2)
+        pairs = [(x, y) for x in structure.domain for y in structure.domain]
+        edges = sorted(structure.relations["E"])
+        mutated = structure.copy()
+        carried = 0
+        with Database(structure.copy()) as db:
+            query = db.prepare(TWO_STEP, params=("x", "y"))
+            for pair in pairs:
+                query.bind(*pair).value(NATURAL)
+            scope = query._scope(NATURAL)
+            for step, edge in enumerate(edges[:3]):
+                with db.update() as tx:
+                    tx.set_weight("w", edge, 7 + step)
+                mutated.set_weight("w", edge, 7 + step)
+                hits = scope.hits
+                with Database(mutated.copy()) as ref:
+                    expected = ref.prepare(TWO_STEP, params=("x", "y")) \
+                        .batch(pairs, NATURAL)
+                assert [query.bind(*pair).value(NATURAL)
+                        for pair in pairs] == expected
+                carried += scope.hits - hits
+        # The general (arity 2) filter carried warm entries across writes.
+        assert carried > 0
